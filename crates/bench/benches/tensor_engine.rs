@@ -1,5 +1,6 @@
-//! Benches of the real CPU tensor engine: GEMM scaling and a full
-//! forward+backward of the tiny GPT used by the distributed runtime.
+//! Benches of the real CPU tensor engine: GEMM at the per-rank shapes the
+//! distributed runtime actually runs, and a full forward+backward of the
+//! tiny GPT.
 
 use megatron_bench::harness::Bench;
 use megatron_tensor::gemm;
@@ -7,14 +8,42 @@ use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 use megatron_tensor::Matrix;
 use rand::SeedableRng;
 
-fn gemm_scaling() {
+/// Forward shapes `(m, k, n)` of one (2,2,2) training rank (h=128, s=64,
+/// t=2): QKV, MLP up, MLP down, attention out, and per-head attention
+/// scores (`64×32 · 32×64`).
+const TRAIN_SHAPES: [(usize, usize, usize); 5] = [
+    (64, 128, 192),
+    (64, 128, 256),
+    (64, 256, 128),
+    (64, 64, 128),
+    (64, 32, 64),
+];
+
+/// `(k, n)` of one t=2 serving rank's weights (h=48): QKV, MLP up, MLP
+/// down.
+const SERVE_WEIGHTS: [(usize, usize); 3] = [(48, 72), (48, 96), (96, 48)];
+
+/// Each training shape runs as the layer does: forward `X·W`
+/// (`matmul`), weight gradient `Xᵀ·dY` (`matmul_tn`) and input gradient
+/// `dY·Wᵀ` (`matmul_nt`). Serving's decode steps multiply 1 or 6 rows.
+fn gemm_shapes() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let g = Bench::group("gemm").sample_size(20);
-    for &n in &[64usize, 128, 256] {
-        let a = Matrix::randn(n, n, 1.0, &mut rng);
-        let b = Matrix::randn(n, n, 1.0, &mut rng);
-        g.run(&format!("matmul/{n}"), || gemm::matmul(&a, &b));
-        g.run(&format!("matmul_tn/{n}"), || gemm::matmul_tn(&a, &b));
+    let g = Bench::group("gemm").sample_size(50);
+    for &(m, k, n) in &TRAIN_SHAPES {
+        let x = Matrix::randn(m, k, 1.0, &mut rng);
+        let w = Matrix::randn(k, n, 1.0, &mut rng);
+        let dy = Matrix::randn(m, n, 1.0, &mut rng);
+        let shape = format!("{m}x{k}.{k}x{n}");
+        g.run(&format!("matmul/{shape}"), || gemm::matmul(&x, &w));
+        g.run(&format!("matmul_tn/{shape}"), || gemm::matmul_tn(&x, &dy));
+        g.run(&format!("matmul_nt/{shape}"), || gemm::matmul_nt(&dy, &w));
+    }
+    for m in [1usize, 6] {
+        for &(k, n) in &SERVE_WEIGHTS {
+            let x = Matrix::randn(m, k, 1.0, &mut rng);
+            let w = Matrix::randn(k, n, 1.0, &mut rng);
+            g.run(&format!("decode/{m}x{k}.{k}x{n}"), || gemm::matmul(&x, &w));
+        }
     }
 }
 
@@ -38,6 +67,6 @@ fn gpt_step() {
 }
 
 fn main() {
-    gemm_scaling();
+    gemm_shapes();
     gpt_step();
 }

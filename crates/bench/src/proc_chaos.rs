@@ -3,9 +3,10 @@
 //!
 //! Where E33 injects faults into threads sharing one address space, this
 //! experiment pulls real power cords: seeded **SIGKILLs** delivered to
-//! worker OS processes mid-iteration (triggered by their own progress
-//! heartbeats), plus a seeded socket fault plan (mid-frame severs,
-//! connection refusals, per-link slowdowns) armed inside the workers.
+//! worker OS processes at seeded iteration boundaries (each victim parks
+//! there until the supervisor kills it), plus a seeded socket fault plan
+//! (mid-frame severs, connection refusals, per-link slowdowns) armed
+//! inside the workers.
 //! The launcher-side [`ProcSupervisor`] must notice each death, commit
 //! whatever durable shard generations the dead world left behind,
 //! restore the newest, and respawn — and the healed run's **final
@@ -392,8 +393,7 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
             ("model_error".into(), model_error),
             ("clean_iter_s".into(), clean_iter_s),
             ("restarts".into(), report.incidents.len() as f64),
-            // `lost_iterations` stays console-only: it races the 5 ms
-            // supervisor poll (0 or 1 run-to-run), and a 0 baseline makes
+            // `lost_iterations` stays console-only: a 0 baseline makes
             // any relative sentry delta explode.
             ("restore_s_total".into(), restore_s_total),
             ("backoff_s_total".into(), backoff_s_total),

@@ -395,7 +395,11 @@ const REPLAY_WINDOW: usize = 64;
 /// `peers[r]` is where group rank `r` listens (`None` for self). Outbound
 /// connections are dialed lazily with retry until the deadline, so no
 /// global connect ordering is needed. Exactly one channel id must map to
-/// one (group, member) pair per process.
+/// one (group, member) pair per process, with one exception: several
+/// receive-only channels may share an id when each receives from its own
+/// set of peers. Inbound streams are handed out per (channel id, sender),
+/// so each such channel owns exactly its peers' streams; a send on one of
+/// them, or two of them receiving from the same peer, is not supported.
 #[derive(Debug)]
 pub struct SocketChannel {
     node: Arc<SocketNode>,
@@ -1065,6 +1069,43 @@ mod tests {
             let (misses, frame) = receiver.join().unwrap();
             assert_eq!(frame, vec![1.0, 2.0, 3.0]);
             assert!(misses >= 1, "expected at least one soft miss");
+        });
+    }
+
+    /// Two receive-only channels on one node may share a channel id as
+    /// long as each receives from its own peer: inbound streams are keyed
+    /// by (channel id, sender), so neither sees the other's frames.
+    #[test]
+    fn receive_only_channels_may_share_an_id_per_peer() {
+        let (nodes, addrs) = uds_world("shared", 3);
+        std::thread::scope(|s| {
+            let receivers: Vec<_> = [1usize, 2]
+                .into_iter()
+                .map(|from| {
+                    let node = Arc::clone(&nodes[0]);
+                    let peers = peers_for(0, &addrs);
+                    s.spawn(move || {
+                        let mut ch = SocketChannel::new(node, 9, 0, peers);
+                        ch.set_deadline(Instant::now() + Duration::from_secs(10));
+                        (0..3).map(|_| ch.recv(from).unwrap()).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for sender in [1usize, 2] {
+                let node = Arc::clone(&nodes[sender]);
+                let peers = peers_for(sender, &addrs);
+                s.spawn(move || {
+                    let mut ch = SocketChannel::new(node, 9, sender, peers);
+                    ch.set_deadline(Instant::now() + Duration::from_secs(10));
+                    for i in 0..3 {
+                        ch.send(0, &[sender as f32, i as f32]).unwrap();
+                    }
+                });
+            }
+            for (from, h) in [1usize, 2].into_iter().zip(receivers) {
+                let want: Vec<Vec<f32>> = (0..3).map(|i| vec![from as f32, i as f32]).collect();
+                assert_eq!(h.join().unwrap(), want, "channel receiving from {from}");
+            }
         });
     }
 

@@ -236,7 +236,8 @@ impl JobSpec {
     }
 
     /// Serialize to the `job.json` wire form. `f32` fields travel as
-    /// their `u32` bit patterns so the round trip is exact.
+    /// their `u32` bit patterns and the `u64` seeds as decimal strings, so
+    /// the round trip is exact.
     pub fn to_json(&self) -> String {
         let n = |x: usize| Json::Num(x as f64);
         let schedule = match self.schedule {
@@ -264,8 +265,8 @@ impl JobSpec {
             ("hidden", n(self.model.hidden)),
             ("heads", n(self.model.heads)),
             ("layers", n(self.model.layers)),
-            ("model_seed", Json::Num(self.model_seed as f64)),
-            ("data_seed", Json::Num(self.data_seed as f64)),
+            ("model_seed", Json::Str(self.model_seed.to_string())),
+            ("data_seed", Json::Str(self.data_seed.to_string())),
             ("batch", n(self.batch)),
             ("iters", n(self.iters)),
             (
@@ -289,18 +290,22 @@ impl JobSpec {
         .to_string()
     }
 
-    /// Parse the `job.json` wire form.
+    /// Parse the `job.json` wire form. Integer fields must be whole,
+    /// non-negative and in range; anything else (a negative, fractional,
+    /// non-finite or overflowing value) is an error, never a silent 0 or a
+    /// saturated cast. Seeds may be numbers, as older files wrote them, or
+    /// decimal strings.
     pub fn from_json(text: &str) -> Result<JobSpec, String> {
         let j = Json::parse(text).map_err(|e| e.to_string())?;
+        let field = |k: &str| uint_field(&j, k).map_err(|e| format!("job.json: {e}"));
         let us = |k: &str| -> Result<usize, String> {
-            j.get(k)
-                .as_f64()
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("job.json: missing numeric field `{k}`"))
+            field(k)?.ok_or_else(|| format!("job.json: missing numeric field `{k}`"))
         };
         // Fields added after PR 9 default to zero so older job.json files
         // (and hand-written ones) still parse.
-        let us0 = |k: &str| j.get(k).as_f64().map(|v| v as usize).unwrap_or(0);
+        let us0 = |k: &str| -> Result<usize, String> { Ok(field(k)?.unwrap_or(0)) };
+        let millis =
+            |k: &str| -> Result<Duration, String> { Ok(Duration::from_millis(us(k)? as u64)) };
         let b = |k: &str| matches!(j.get(k), Json::Bool(true));
         let schedule = match j.get("schedule").as_str().unwrap_or("1f1b") {
             "gpipe" => ScheduleKind::GPipe,
@@ -323,11 +328,14 @@ impl JobSpec {
             chunks: us("chunks")?,
             microbatch: us("microbatch")?,
             schedule,
-            lr: f32::from_bits(us("lr_bits")? as u32),
+            lr: f32::from_bits(
+                u32::try_from(us("lr_bits")?)
+                    .map_err(|_| "job.json: field `lr_bits` exceeds 32 bits".to_string())?,
+            ),
             shard_optimizer: b("shard_optimizer"),
             recompute: b("recompute"),
             vocab_parallel: b("vocab_parallel"),
-            comm_timeout: Duration::from_millis(us("comm_timeout_ms")? as u64),
+            comm_timeout: millis("comm_timeout_ms")?,
             model: TinyGptConfig {
                 vocab: us("vocab")?,
                 seq: us("seq")?,
@@ -335,19 +343,49 @@ impl JobSpec {
                 heads: us("heads")?,
                 layers: us("layers")?,
             },
-            model_seed: us("model_seed")? as u64,
-            data_seed: us("data_seed")? as u64,
+            model_seed: seed_field(&j, "model_seed")?,
+            data_seed: seed_field(&j, "data_seed")?,
             batch: us("batch")?,
             iters: us("iters")?,
             wire,
             retry: b("retry"),
             trace: b("trace"),
-            hb_period: Duration::from_millis(us("hb_period_ms")? as u64),
-            checkpoint_every: us0("checkpoint_every"),
-            resume_from: us0("resume_from"),
-            epoch: us0("epoch"),
+            hb_period: millis("hb_period_ms")?,
+            checkpoint_every: us0("checkpoint_every")?,
+            resume_from: us0("resume_from")?,
+            epoch: us0("epoch")?,
         })
     }
+}
+
+/// An integer field of a rendezvous JSON file as a `usize`: `None` when
+/// absent, an error unless it is a whole, non-negative number that f64
+/// holds exactly and `usize` can hold.
+fn uint_field(j: &Json, k: &str) -> Result<Option<usize>, String> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match *j.get(k) {
+        Json::Null => Ok(None),
+        Json::Num(v) if v.fract() == 0.0 && (0.0..=EXACT).contains(&v) => usize::try_from(v as u64)
+            .map(Some)
+            .map_err(|_| format!("field `{k}` = {v} overflows usize")),
+        ref other => Err(format!(
+            "field `{k}` must be a non-negative integer, got {other}"
+        )),
+    }
+}
+
+/// A `u64` seed: a decimal string (exact over the full range), or a number
+/// below 2^53 as written before seeds became strings.
+fn seed_field(j: &Json, k: &str) -> Result<u64, String> {
+    if let Json::Str(s) = j.get(k) {
+        return s
+            .parse()
+            .map_err(|_| format!("job.json: field `{k}` is not a u64: `{s}`"));
+    }
+    let v = uint_field(j, k)
+        .map_err(|e| format!("job.json: {e}"))?
+        .ok_or_else(|| format!("job.json: missing numeric field `{k}`"))?;
+    Ok(v as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -727,6 +765,24 @@ pub fn worker_main(dir: &Path, rank: usize) -> i32 {
             thread::sleep(Duration::from_millis(*delay_ms));
         }
     }
+    // Launcher-scheduled kill: park after the first iteration that
+    // completes at or past this count, so the SIGKILL lands at that
+    // boundary rather than wherever a poll happens to catch the rank.
+    let parks = match fs::read_to_string(dir.join(PARK_FILE)) {
+        Ok(s) => match parks_from_json(&s) {
+            Ok(p) => p,
+            Err(e) => {
+                eprintln!("rank {rank}: {e}");
+                return 3;
+            }
+        },
+        Err(_) => Vec::new(),
+    };
+    let park_at = parks
+        .iter()
+        .filter(|k| k.rank == rank)
+        .map(|k| k.after_iter.max(1))
+        .min();
     let arm = |chan: &mut SocketChannel, which: FaultChan| {
         for f in &my_faults {
             match *f {
@@ -922,9 +978,21 @@ pub fn worker_main(dir: &Path, rank: usize) -> i32 {
             // scheduler and the supervisor's grow boundary both key off
             // it. The plain beacon stays 1-element.
             let done = std::sync::atomic::AtomicUsize::new(job.resume_from);
+            let parked = AtomicBool::new(false);
             Arc::new(move |r: usize| {
                 let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
                 let _ = send_heartbeat(&hb, world, &[r as f32, completed as f32]);
+                // This beat follows the iteration's durable shard write.
+                // Parked, the rank runs no further iteration while its
+                // pumps and beacon stay up, so peers finish this one and
+                // the launcher's SIGKILL lands here. If no kill comes, the
+                // rank sleeps out the comm timeout; its peers, blocked on
+                // it under the same timeout, then fail the job with a
+                // comm timeout.
+                if park_at.is_some_and(|p| completed >= p) && !parked.swap(true, Ordering::Relaxed)
+                {
+                    thread::sleep(timeout);
+                }
             }) as Arc<dyn Fn(usize) + Send + Sync>
         }),
         ..Default::default()
@@ -1201,9 +1269,9 @@ pub struct LaunchHandle {
     children: Mutex<Vec<Option<Child>>>,
     monitor: Arc<HealthMonitor>,
     stop: Arc<AtomicBool>,
-    reader: Option<thread::JoinHandle<()>>,
+    readers: Vec<thread::JoinHandle<()>>,
     /// Per-flat-rank completed-iteration counters, fed by the heartbeat
-    /// reader from `[flat, completed]` progress beats.
+    /// readers from `[flat, completed]` progress beats.
     progress: Arc<Vec<std::sync::atomic::AtomicUsize>>,
     /// Per-flat-rank exit status, filled lazily by [`LaunchHandle::poll_exits`].
     exits: Mutex<Vec<Option<WorkerExit>>>,
@@ -1230,6 +1298,7 @@ fn clear_stale_rendezvous(dir: &Path) -> std::io::Result<()> {
         let name = entry.file_name().to_string_lossy().into_owned();
         let is_rendezvous = name == "job.json"
             || name == "faults.json"
+            || name == PARK_FILE
             || name == "ckpt.path"
             || name.starts_with("launcher.")
             || (name.starts_with("rank-")
@@ -1289,6 +1358,19 @@ pub fn launch_configured(
     ckpt_root: Option<&Path>,
     faults: Option<&SocketFaultPlan>,
 ) -> std::io::Result<LaunchHandle> {
+    launch_parked(job, dir, ckpt_root, faults, &[])
+}
+
+/// [`launch_configured`] plus a kill schedule, written as `park.json`:
+/// each named rank parks after its `after_iter` boundary until the
+/// launcher SIGKILLs it (see [`ProcKill`] and [`LaunchHandle::kill_due`]).
+pub fn launch_parked(
+    job: &JobSpec,
+    dir: &Path,
+    ckpt_root: Option<&Path>,
+    faults: Option<&SocketFaultPlan>,
+    parks: &[ProcKill],
+) -> std::io::Result<LaunchHandle> {
     assert!(job.wire.is_socket(), "process mode needs a socket wire");
     if !job.batch.is_multiple_of(job.data * job.microbatch) {
         // The in-process trainer asserts this; catch it here so an invalid
@@ -1312,6 +1394,9 @@ pub fn launch_configured(
     if let Some(plan) = faults {
         publish(dir, "faults.json", &plan.to_json());
     }
+    if !parks.is_empty() {
+        publish(dir, PARK_FILE, &parks_json(parks));
+    }
 
     let bind = match job.wire {
         WireKind::Tcp => WireAddr::Tcp("127.0.0.1:0".parse().unwrap()),
@@ -1329,48 +1414,47 @@ pub fn launch_configured(
             .map(|_| std::sync::atomic::AtomicUsize::new(0))
             .collect(),
     );
-    let reader = {
-        let mut chan = SocketChannel::new(
-            Arc::clone(&node),
-            HEARTBEAT_CHAN,
-            world,
-            vec![None; world + 1],
-        );
-        let monitor = Arc::clone(&monitor);
-        let stop = Arc::clone(&stop);
-        let progress = Arc::clone(&progress);
-        thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                let mut idle = true;
-                for r in 0..world {
+    // One heartbeat reader per rank, each blocked on that rank's stream,
+    // so a beat is stamped when it arrives. A single thread polling the
+    // ranks in turn waited on every idle one; on a loaded 2-core host a
+    // pass took ~90 ms, longer than the dead window, and live ranks were
+    // classified dead. The readers share HEARTBEAT_CHAN and the launcher's
+    // rank, which `SocketChannel` allows for receive-only channels that
+    // each receive from their own peer.
+    let readers = (0..world)
+        .map(|r| {
+            let mut chan = SocketChannel::new(
+                Arc::clone(&node),
+                HEARTBEAT_CHAN,
+                world,
+                vec![None; world + 1],
+            );
+            let monitor = Arc::clone(&monitor);
+            let stop = Arc::clone(&stop);
+            let progress = Arc::clone(&progress);
+            thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
                     chan.set_deadline(Instant::now() + Duration::from_millis(100));
-                    while let Ok(Some(frame)) = megatron_collective::PollTransport::recv_within(
-                        &mut chan,
-                        r,
-                        Duration::from_millis(1),
-                    ) {
-                        if let Some(&f) = frame.first() {
-                            let fr = f as usize;
-                            monitor.beat(fr);
+                    let wait = Duration::from_millis(5);
+                    match megatron_collective::PollTransport::recv_within(&mut chan, r, wait) {
+                        Ok(Some(frame)) => {
+                            monitor.beat(r);
                             // Two-element frames are progress beats:
-                            // `[flat, completed_iters]`. `fetch_max`
-                            // because a late bare beacon must not be
-                            // confused with regressing progress.
+                            // `[flat, completed_iters]`. `fetch_max` because
+                            // a late bare beacon must not be confused with
+                            // regressing progress.
                             if let Some(&done) = frame.get(1) {
-                                if fr < world {
-                                    progress[fr].fetch_max(done as usize, Ordering::Relaxed);
-                                }
+                                progress[r].fetch_max(done as usize, Ordering::Relaxed);
                             }
-                            idle = false;
                         }
+                        Ok(None) => {}
+                        // A broken stream fails at once; don't spin on it.
+                        Err(_) => thread::sleep(wait),
                     }
                 }
-                if idle {
-                    thread::sleep(Duration::from_millis(2));
-                }
-            }
+            })
         })
-    };
+        .collect();
 
     let exe = std::env::current_exe()?;
     let mut children = Vec::with_capacity(world);
@@ -1390,7 +1474,7 @@ pub fn launch_configured(
         children: Mutex::new(children),
         monitor,
         stop,
-        reader: Some(reader),
+        readers,
         progress,
         exits: Mutex::new(vec![None; world]),
         _node: node,
@@ -1439,6 +1523,14 @@ impl LaunchHandle {
             .map(|p| p.load(Ordering::Relaxed))
             .min()
             .unwrap_or(0)
+    }
+
+    /// True once the victim of a [`launch_parked`] kill is parked at its
+    /// boundary and every rank has completed that iteration: the moment
+    /// to SIGKILL it.
+    pub fn kill_due(&self, k: ProcKill) -> bool {
+        let at = self.progress(k.rank);
+        at >= k.after_iter.max(1) && self.min_progress() >= at
     }
 
     /// Non-blocking exit sweep: `try_wait` every still-running child,
@@ -1509,7 +1601,7 @@ impl LaunchHandle {
             .collect();
         let exit_ok: Vec<bool> = exits.iter().map(|e| *e == WorkerExit::Ok).collect();
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.reader.take() {
+        for h in self.readers.drain(..) {
             let _ = h.join();
         }
 
@@ -1567,11 +1659,11 @@ impl LaunchHandle {
 
 impl Drop for LaunchHandle {
     /// A dropped handle must not leak rank processes or the reader
-    /// thread (e.g. when a test assertion fails mid-run).
+    /// threads (e.g. when a test assertion fails mid-run).
     fn drop(&mut self) {
         self.kill_all();
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.reader.take() {
+        for h in self.readers.drain(..) {
             let _ = h.join();
         }
     }
@@ -1582,16 +1674,55 @@ impl Drop for LaunchHandle {
 // ---------------------------------------------------------------------
 
 /// One scheduled real kill in a supervised chaos run: SIGKILL `rank`'s
-/// process once its progress beats report `after_iter` completed
-/// iterations — i.e. while it is genuinely inside iteration
-/// `after_iter + 1`, after any checkpoint shard written at the
-/// `after_iter` boundary is already on disk.
+/// process at its `after_iter` boundary (at least 1), after any
+/// checkpoint shard written there is on disk.
+///
+/// The kill lands there by construction, not by polling luck. The victim
+/// learns its schedule from `park.json` and, after the first iteration
+/// that completes at or past `after_iter`, reports its progress and
+/// parks. The supervisor SIGKILLs it once every rank has completed that
+/// iteration ([`LaunchHandle::kill_due`]), so the boundary's shards are
+/// all durable and no rank has started the next one without the victim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcKill {
     /// Flat rank of the victim process.
     pub rank: usize,
     /// Completed iterations the victim must report before the SIGKILL.
     pub after_iter: usize,
+}
+
+/// Rendezvous file carrying an attempt's kill schedule to its workers.
+const PARK_FILE: &str = "park.json";
+
+fn parks_json(parks: &[ProcKill]) -> String {
+    let n = |x: usize| Json::Num(x as f64);
+    Json::Arr(
+        parks
+            .iter()
+            .map(|k| Json::obj([("rank", n(k.rank)), ("after_iter", n(k.after_iter))]))
+            .collect(),
+    )
+    .to_string()
+}
+
+fn parks_from_json(text: &str) -> Result<Vec<ProcKill>, String> {
+    let Json::Arr(items) = Json::parse(text).map_err(|e| e.to_string())? else {
+        return Err("park.json: expected an array".into());
+    };
+    let field = |j: &Json, k: &str| {
+        uint_field(j, k)
+            .map_err(|e| format!("park.json: {e}"))?
+            .ok_or_else(|| format!("park.json: missing field `{k}`"))
+    };
+    items
+        .iter()
+        .map(|j| {
+            Ok(ProcKill {
+                rank: field(j, "rank")?,
+                after_iter: field(j, "after_iter")?,
+            })
+        })
+        .collect()
 }
 
 /// Why the supervisor tore an attempt down.
@@ -1788,11 +1919,13 @@ impl ProcSupervisor {
             job.resume_from = resume;
             job.epoch = attempt;
             let dir = self.root.join(format!("attempt-{attempt}"));
-            let handle = launch_configured(
+            let parks: Vec<ProcKill> = pending.iter().flatten().copied().collect();
+            let handle = launch_parked(
                 &job,
                 &dir,
                 Some(&self.ckpt_root()),
                 if attempt == 0 { faults } else { None },
+                &parks,
             )?;
 
             let attempt_t0 = Instant::now();
@@ -1800,11 +1933,11 @@ impl ProcSupervisor {
             let deadline = attempt_t0 + self.attempt_limit;
             let cause: Option<IncidentCause> = loop {
                 thread::sleep(self.poll);
-                // Fire any due chaos kills: the victim reported
-                // `after_iter` completed, so it is mid-next-iteration.
+                // Fire any due chaos kills: the victim is parked at its
+                // boundary and every rank has completed that iteration.
                 for slot in pending.iter_mut() {
                     if let Some(k) = *slot {
-                        if k.rank < world && handle.progress(k.rank) >= k.after_iter.max(1) {
+                        if k.rank < world && handle.kill_due(k) {
                             handle.kill_rank(k.rank);
                             *slot = None;
                         }
@@ -2169,6 +2302,71 @@ mod tests {
         assert_eq!(back.checkpoint_every, 0);
         assert_eq!(back.resume_from, 0);
         assert_eq!(back.epoch, 0);
+    }
+
+    #[test]
+    fn seeds_round_trip_over_the_full_u64_range() {
+        let mut job = JobSpec::canonical(2, 2, 2);
+        for seed in [u64::MAX, (1 << 53) + 1, 0] {
+            job.model_seed = seed;
+            job.data_seed = seed ^ 1;
+            let back = JobSpec::from_json(&job.to_json()).unwrap();
+            assert_eq!((back.model_seed, back.data_seed), (seed, seed ^ 1));
+        }
+        // Files written before seeds became strings carry plain numbers.
+        let mut j = Json::parse(&JobSpec::canonical(2, 2, 2).to_json()).unwrap();
+        if let Json::Obj(m) = &mut j {
+            m.insert("model_seed".into(), Json::Num(7.0));
+            m.insert("data_seed".into(), Json::Num(11.0));
+        }
+        let back = JobSpec::from_json(&j.to_string()).unwrap();
+        assert_eq!(back, JobSpec::canonical(2, 2, 2));
+    }
+
+    #[test]
+    fn malformed_integer_fields_are_errors() {
+        let base = Json::parse(&JobSpec::canonical(2, 2, 2).to_json()).unwrap();
+        let with = |k: &str, v: Json| {
+            let mut j = base.clone();
+            if let Json::Obj(m) = &mut j {
+                m.insert(k.into(), v);
+            }
+            JobSpec::from_json(&j.to_string())
+        };
+        for k in [
+            "p",
+            "iters",
+            "batch",
+            "comm_timeout_ms",
+            "checkpoint_every",
+            "model_seed",
+        ] {
+            for bad in [-1.0, 2.5, 1e300] {
+                let err = with(k, Json::Num(bad)).expect_err(&format!("{k} = {bad}"));
+                assert!(err.contains(k), "error names the field: {err}");
+            }
+            assert!(with(k, Json::Bool(true)).is_err(), "{k} = true");
+        }
+        assert!(with("lr_bits", Json::Num((1u64 << 32) as f64)).is_err());
+        assert!(with("data_seed", Json::Str("-3".into())).is_err());
+        assert!(with("data_seed", Json::Str("18446744073709551616".into())).is_err());
+    }
+
+    #[test]
+    fn park_schedule_round_trips_through_json() {
+        let parks = [
+            ProcKill {
+                rank: 4,
+                after_iter: 1,
+            },
+            ProcKill {
+                rank: 5,
+                after_iter: 10,
+            },
+        ];
+        assert_eq!(parks_from_json(&parks_json(&parks)).unwrap(), parks);
+        assert!(parks_from_json(r#"[{"rank":-1,"after_iter":2}]"#).is_err());
+        assert!(parks_from_json(r#"{"rank":1}"#).is_err());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! This crate is the numerical substrate for the thread-per-GPU distributed
 //! runtime (`megatron-dist`): it provides everything a GPT forward/backward
-//! pass needs — GEMM (thread-parallel, with a naive reference used in
-//! tests), GeLU, LayerNorm, causal multi-head attention, embeddings,
-//! cross-entropy — plus the Adam optimizer and a finite-difference gradient
+//! pass needs — GEMM (one serial register-tiled kernel, with a naive
+//! reference used in tests), GeLU, LayerNorm, causal multi-head attention,
+//! embeddings, cross-entropy — plus the Adam optimizer and a finite-difference gradient
 //! checker. Dropout is intentionally omitted: the reproduction's
 //! correctness claims (tensor/pipeline/data-parallel execution computes the
 //! same gradients as serial execution) require deterministic math, and

@@ -18,7 +18,9 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use megatron_repro::dist::proc::{launch, maybe_worker, JobSpec, ProcKill, ProcSupervisor};
+use megatron_repro::dist::proc::{
+    launch, launch_parked, maybe_worker, JobSpec, ProcKill, ProcSupervisor,
+};
 use megatron_repro::dist::PtdpTrainer;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -85,7 +87,16 @@ fn sigkilled_rank_process_classified_dead() {
     let spec = job.spec();
     let world = spec.world();
     let dir = scratch("sigkill");
-    let handle = launch(&job, &dir).expect("launch 8 rank processes");
+    // The victim parks after iteration 1, so it is alive when the kill
+    // lands, and every rank has finished set-up and iteration 1: the
+    // survivors then sit blocked on the victim rather than competing with
+    // their beacons for the CPU.
+    let victim = 3; // thread (0, 1, 1)
+    let park = ProcKill {
+        rank: victim,
+        after_iter: 1,
+    };
+    let handle = launch_parked(&job, &dir, None, None, &[park]).expect("launch 8 rank processes");
     let monitor = handle.monitor();
 
     // Wait until every rank's beacon has pulsed a few times.
@@ -98,8 +109,14 @@ fn sigkilled_rank_process_classified_dead() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+    while !handle.kill_due(park) {
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "victim never parked after iteration 1"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
-    let victim = 3; // thread (0, 1, 1)
     assert!(handle.kill_rank(victim), "SIGKILL rank {victim}");
     // dead-after is 4 heartbeat periods (80 ms); give it 5×.
     std::thread::sleep(Duration::from_millis(400));

@@ -485,7 +485,8 @@ fn histogram_quantiles_monotone() {
 /// Process-mode `job.json` round-trip: a `JobSpec` survives
 /// serialize→parse for every field, including extreme f32 learning
 /// rates — NaNs with arbitrary payloads, subnormals, infinities, and
-/// signed zeros. The wire form carries `lr` as raw bits (`lr_bits`)
+/// signed zeros — and `u64` seeds over their full range. The wire form
+/// carries `lr` as raw bits (`lr_bits`) and seeds as decimal strings
 /// precisely so these survive; the property compares bit patterns
 /// (NaN != NaN would make a value comparison vacuous).
 #[test]
@@ -516,10 +517,15 @@ fn job_spec_json_round_trips_extreme_floats() {
         job.trace = coin(rng);
         job.comm_timeout = Duration::from_millis(rng.gen_range(1u64..120_000));
         job.hb_period = Duration::from_millis(rng.gen_range(1u64..1_000));
-        // Seeds ride the JSON number as f64: exact for < 2^53; draw well
-        // inside that.
-        job.model_seed = rng.gen_range(0u64..(1 << 48));
-        job.data_seed = rng.gen_range(0u64..(1 << 48));
+        // Seeds travel as decimal strings: the full u64 range, with the
+        // edges f64 cannot hold, must survive.
+        let seed = |rng: &mut StdRng| match rng.gen_range(0u32..4) {
+            0 => u64::MAX - rng.gen_range(0u64..4),
+            1 => (1 << 53) + rng.gen_range(1u64..4),
+            _ => rng.gen::<u64>(),
+        };
+        job.model_seed = seed(rng);
+        job.data_seed = seed(rng);
         job.batch = rng.gen_range(1usize..=64);
         job.iters = rng.gen_range(1usize..=100);
         job.wire = match rng.gen_range(0u32..3) {
