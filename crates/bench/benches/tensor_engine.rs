@@ -1,10 +1,11 @@
-//! Benches of the real CPU tensor engine: GEMM at the per-rank shapes the
-//! distributed runtime actually runs, and a full forward+backward of the
-//! tiny GPT.
+//! Benches of the real CPU tensor engine: GEMM and GeLU at the per-rank
+//! shapes the distributed runtime actually runs, and a full
+//! forward+backward of the tiny GPT.
 
 use megatron_bench::harness::Bench;
 use megatron_tensor::gemm;
 use megatron_tensor::gpt::{GptModel, TinyGptConfig};
+use megatron_tensor::layers::{gelu, gelu_backward};
 use megatron_tensor::Matrix;
 use rand::SeedableRng;
 
@@ -47,6 +48,20 @@ fn gemm_shapes() {
     }
 }
 
+/// GeLU forward and backward on one training rank's MLP activation
+/// (`64×256`: s=64, 4h/t = 256) and on serving's decode steps of 1 and 6
+/// rows (`4h/t = 96`).
+fn gelu_shapes() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let g = Bench::group("gelu").sample_size(50);
+    for (m, n) in [(64, 256), (1, 96), (6, 96)] {
+        let x = Matrix::randn(m, n, 1.0, &mut rng);
+        let dy = Matrix::randn(m, n, 1.0, &mut rng);
+        g.run(&format!("gelu/{m}x{n}"), || gelu(&x));
+        g.run(&format!("gelu_backward/{m}x{n}"), || gelu_backward(&x, &dy));
+    }
+}
+
 fn gpt_step() {
     let cfg = TinyGptConfig {
         vocab: 128,
@@ -68,5 +83,6 @@ fn gpt_step() {
 
 fn main() {
     gemm_shapes();
+    gelu_shapes();
     gpt_step();
 }

@@ -32,54 +32,61 @@ pub fn save(model: &mut GptModel, w: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Deserialize a model previously written by [`save`].
+/// Deserialize a model previously written by [`save`]. A malformed or
+/// truncated file is an `InvalidData` or `UnexpectedEof` error: the header
+/// is checked before anything is allocated, and parameter memory grows only
+/// with the bytes actually read.
 pub fn load(r: &mut impl Read) -> io::Result<GptModel> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a megatron-ptdp-rs checkpoint",
-        ));
+        return Err(invalid("not a megatron-ptdp-rs checkpoint".into()));
     }
     let mut u64buf = [0u8; 8];
     let mut next_u64 = |r: &mut dyn Read| -> io::Result<u64> {
         r.read_exact(&mut u64buf)?;
         Ok(u64::from_le_bytes(u64buf))
     };
-    let cfg = TinyGptConfig {
-        vocab: next_u64(r)? as usize,
-        seq: next_u64(r)? as usize,
-        hidden: next_u64(r)? as usize,
-        heads: next_u64(r)? as usize,
-        layers: next_u64(r)? as usize,
-    };
-    let count = next_u64(r)? as usize;
-    let mut params = vec![0f32; count];
-    let mut f32buf = [0u8; 4];
-    for p in &mut params {
-        r.read_exact(&mut f32buf)?;
-        *p = f32::from_le_bytes(f32buf);
+    let mut fields = [0usize; 5];
+    for f in &mut fields {
+        *f = usize::try_from(next_u64(r)?).map_err(|_| invalid("size exceeds usize".into()))?;
     }
-    // Rebuild structure (weights are about to be overwritten).
+    let [vocab, seq, hidden, heads, layers] = fields;
+    let cfg = TinyGptConfig {
+        vocab,
+        seq,
+        hidden,
+        heads,
+        layers,
+    };
+    cfg.check()
+        .map_err(|e| invalid(format!("bad architecture {cfg:?}: {e}")))?;
+    let need = cfg
+        .param_count()
+        .ok_or_else(|| invalid(format!("parameter count of {cfg:?} overflows")))?;
+    let count = next_u64(r)?;
+    if count != need as u64 {
+        return Err(invalid(format!(
+            "checkpoint has {count} params, model needs {need}"
+        )));
+    }
+    let mut params = Vec::new();
+    let mut f32buf = [0u8; 4];
+    for _ in 0..need {
+        r.read_exact(&mut f32buf)?;
+        params.push(f32::from_le_bytes(f32buf));
+    }
+    // Rebuild structure (weights are about to be overwritten); the file
+    // held every parameter, so its size bounds the allocation.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let mut model = GptModel::new(cfg, &mut rng);
-    let mut off = 0usize;
-    let mut short = false;
+    let mut rest = params.as_slice();
     model.visit(&mut |p, _| {
-        if off + p.len() <= params.len() {
-            p.copy_from_slice(&params[off..off + p.len()]);
-        } else {
-            short = true;
-        }
-        off += p.len();
+        let (head, tail) = rest.split_at(p.len());
+        p.copy_from_slice(head);
+        rest = tail;
     });
-    if short || off != count {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("checkpoint has {count} params, model needs {off}"),
-        ));
-    }
     Ok(model)
 }
 
@@ -141,6 +148,65 @@ mod tests {
         save(&mut m, &mut buf).unwrap();
         buf.truncate(buf.len() - 13);
         assert!(load(&mut buf.as_slice()).is_err());
+    }
+
+    /// A header with the given fields and parameter count, no body.
+    fn header(fields: [u64; 5], count: u64) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        for v in fields.into_iter().chain([count]) {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn rejects_bad_headers_without_allocating() {
+        let good = [11, 4, 8, 2, 2];
+        let need = TinyGptConfig {
+            vocab: 11,
+            seq: 4,
+            hidden: 8,
+            heads: 2,
+            layers: 2,
+        }
+        .param_count()
+        .unwrap() as u64;
+        let bad = [
+            header(good, u64::MAX),
+            header(good, need + 1),
+            header([11, 4, 8, 0, 2], need),
+            header([0, 4, 8, 2, 2], need),
+            header([11, 4, 8, 3, 2], need),
+            header([u64::MAX, 4, 8, 2, 2], need),
+            header([11, 4, 1 << 32, 1, 1 << 32], u64::MAX),
+        ];
+        for buf in bad {
+            let err = load(&mut buf.as_slice()).expect_err("bad header must fail");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        // A valid header with the body cut off.
+        let err = load(&mut header(good, need).as_slice()).expect_err("no body");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn param_count_matches_the_model() {
+        for cfg in [
+            model().cfg,
+            TinyGptConfig {
+                vocab: 5,
+                seq: 3,
+                hidden: 12,
+                heads: 3,
+                layers: 1,
+            },
+        ] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+            assert_eq!(
+                cfg.param_count(),
+                Some(GptModel::new(cfg, &mut rng).param_count())
+            );
+        }
     }
 
     #[test]

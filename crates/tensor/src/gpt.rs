@@ -30,13 +30,38 @@ pub struct TinyGptConfig {
 }
 
 impl TinyGptConfig {
-    /// Validate divisibility constraints.
+    /// Panic unless [`check`](Self::check) passes.
     pub fn validate(&self) {
-        assert!(
-            self.hidden.is_multiple_of(self.heads),
-            "heads must divide hidden"
-        );
-        assert!(self.vocab > 0 && self.seq > 0 && self.layers > 0);
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// Every size non-zero and `heads` dividing `hidden`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if [self.vocab, self.seq, self.hidden, self.heads, self.layers].contains(&0) {
+            return Err("every size must be non-zero");
+        }
+        if !self.hidden.is_multiple_of(self.heads) {
+            return Err("heads must divide hidden");
+        }
+        Ok(())
+    }
+
+    /// Parameters a model of this shape holds, or `None` if the count
+    /// overflows `usize`: token and position embeddings (`v·h + s·h`),
+    /// `12h² + 13h` per block, the final LayerNorm (`2h`) and the untied LM
+    /// head (`h·v`).
+    pub fn param_count(&self) -> Option<usize> {
+        let (v, s, h) = (self.vocab, self.seq, self.hidden);
+        let block = h
+            .checked_mul(h)?
+            .checked_mul(12)?
+            .checked_add(h.checked_mul(13)?)?;
+        let per_h = v.checked_mul(2)?.checked_add(s)?.checked_add(2)?;
+        per_h
+            .checked_mul(h)?
+            .checked_add(block.checked_mul(self.layers)?)
     }
 }
 

@@ -1,9 +1,15 @@
 //! Neural-network layers with explicit forward caches and hand-written
 //! backward passes.
+//!
+//! GeLU and its backward each make one vectorized pass whose `tanh` is the
+//! kernel of [`crate::tanh`]: glibc 2.36's `tanhf` replicated bit for bit,
+//! eight lanes at a time. Softmax and cross-entropy still call the host
+//! libm's `exp` and `ln`.
 
 use rand::Rng;
 
 use crate::gemm;
+use crate::tanh::{self, tanh_lane};
 use crate::Matrix;
 
 /// Fully-connected layer `y = x·W (+ b)`; `W` is `in × out`.
@@ -71,37 +77,42 @@ impl Linear {
     }
 }
 
-/// GeLU non-linearity (tanh approximation, as in GPT).
+/// GeLU non-linearity (tanh approximation, as in GPT), in one vectorized
+/// pass over `x`.
 pub fn gelu(x: &Matrix) -> Matrix {
-    let mut y = x.clone();
-    for v in y.as_mut_slice() {
-        *v = gelu_scalar(*v);
-    }
-    y
+    let y = tanh::map2(
+        x.as_slice(),
+        x.as_slice(),
+        #[inline(always)]
+        |x, _| gelu_scalar(x),
+    );
+    Matrix::from_vec(x.rows(), x.cols(), y)
 }
 
-#[inline]
+#[inline(always)]
 fn gelu_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/π)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + tanh_lane(C * (x + 0.044715 * x * x * x)))
 }
 
-#[inline]
+#[inline(always)]
 fn gelu_grad_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let u = C * (x + 0.044715 * x * x * x);
-    let t = u.tanh();
+    let t = tanh_lane(u);
     let du = C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
-/// GeLU backward: `dx = dy ⊙ gelu'(x)`.
+/// GeLU backward: `dx = dy ⊙ gelu'(x)`, in one vectorized pass.
 pub fn gelu_backward(x: &Matrix, dy: &Matrix) -> Matrix {
-    let mut dx = dy.clone();
-    for (d, &xv) in dx.as_mut_slice().iter_mut().zip(x.as_slice()) {
-        *d *= gelu_grad_scalar(xv);
-    }
-    dx
+    let dx = tanh::map2(
+        dy.as_slice(),
+        x.as_slice(),
+        #[inline(always)]
+        |d, x| d * gelu_grad_scalar(x),
+    );
+    Matrix::from_vec(dy.rows(), dy.cols(), dx)
 }
 
 /// LayerNorm over the last dimension with learned scale and shift.
@@ -513,6 +524,33 @@ mod tests {
         assert!(gelu_scalar(-10.0).abs() < 1e-3);
         // Known value: gelu(1) ≈ 0.8412.
         assert!((gelu_scalar(1.0) - 0.8412).abs() < 1e-3);
+    }
+
+    #[test]
+    fn gelu_matches_scalar_formulas_bit_for_bit() {
+        use crate::tanh::tanh_reference;
+        const C: f32 = 0.797_884_6;
+        let forward = |x: f32| 0.5 * x * (1.0 + tanh_reference(C * (x + 0.044715 * x * x * x)));
+        let grad = |x: f32| {
+            let t = tanh_reference(C * (x + 0.044715 * x * x * x));
+            let du = C * (1.0 + 3.0 * 0.044715 * x * x);
+            0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+        };
+        let mut r = rng();
+        for (rows, cols) in [(1, 1), (1, 7), (3, 3), (1, 13), (5, 51), (7, 147)] {
+            let x = Matrix::randn(rows, cols, 5.0, &mut r);
+            let dy = Matrix::randn(rows, cols, 1.0, &mut r);
+            let (y, dx) = (gelu(&x), gelu_backward(&x, &dy));
+            for (i, &xv) in x.as_slice().iter().enumerate() {
+                assert_eq!(
+                    y.as_slice()[i].to_bits(),
+                    forward(xv).to_bits(),
+                    "gelu({xv})"
+                );
+                let want = dy.as_slice()[i] * grad(xv);
+                assert_eq!(dx.as_slice()[i].to_bits(), want.to_bits(), "gelu'({xv})");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! This crate is the numerical substrate for the thread-per-GPU distributed
 //! runtime (`megatron-dist`): it provides everything a GPT forward/backward
 //! pass needs — GEMM (one serial register-tiled kernel, with a naive
-//! reference used in tests), GeLU, LayerNorm, causal multi-head attention,
+//! reference used in tests), GeLU (over a vectorized, bit-exact replica of
+//! glibc's `tanhf`), LayerNorm, causal multi-head attention,
 //! embeddings, cross-entropy — plus the Adam optimizer and a finite-difference gradient
 //! checker. Dropout is intentionally omitted: the reproduction's
 //! correctness claims (tensor/pipeline/data-parallel execution computes the
@@ -21,6 +22,7 @@ pub mod gpt;
 pub mod gradcheck;
 pub mod layers;
 mod matrix;
+pub mod tanh;
 
 pub use adam::{Adam, AdamState};
 pub use matrix::Matrix;
